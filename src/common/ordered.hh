@@ -12,8 +12,12 @@
  * this: iteration over an unordered container is a finding unless the
  * range expression goes through sortedItems()/sortedKeys().
  *
- * The copy is deliberate: these helpers run on emission and
- * housekeeping paths, not in the per-cycle hot loop.
+ * The copy is deliberate, and affordable only because nothing may call
+ * these helpers once per ACT or per cycle: they serve emission and
+ * housekeeping (window and refresh-interval pruning, or a prune that
+ * amortizes over many ACTs, like MRLoc's shadow-map bound). A hot path
+ * that needs an ordered view keeps an ordered index beside its hash map
+ * instead (mitigations/misra_gries.hh).
  */
 
 #ifndef BH_COMMON_ORDERED_HH

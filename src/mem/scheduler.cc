@@ -137,7 +137,7 @@ FrFcfsScheduler::FrFcfsScheduler(unsigned num_banks)
 SchedQueue::Handle
 FrFcfsScheduler::pickColumnReady(SchedQueue &queue, ReqType type,
                                  const DramDevice &dram, Cycle now,
-                                 const StreakCapped &capped)
+                                 StreakCapped capped)
 {
     DramCommand cmd = (type == ReqType::kRead)
         ? DramCommand::kRd : DramCommand::kWr;
@@ -172,8 +172,8 @@ FrFcfsScheduler::pickColumnReady(SchedQueue &queue, ReqType type,
 
 SchedQueue::Handle
 FrFcfsScheduler::pickRowPrep(SchedQueue &queue, const DramDevice &dram,
-                             Cycle now, const ActFilter &act_allowed,
-                             const StreakCapped &capped)
+                             Cycle now, ActFilter act_allowed,
+                             StreakCapped capped)
 {
     if (queue.empty())
         return SchedQueue::kNone;
@@ -214,7 +214,7 @@ FrFcfsScheduler::pickRowPrep(SchedQueue &queue, const DramDevice &dram,
 Cycle
 FrFcfsScheduler::nextDemandEventAt(SchedQueue &queue, ReqType type,
                                    const DramDevice &dram, Cycle last_tick_at,
-                                   const StreakCapped &capped,
+                                   StreakCapped capped,
                                    Cycle verdict_change_at)
 {
     DramCommand cmd = (type == ReqType::kRead)

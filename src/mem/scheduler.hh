@@ -20,9 +20,9 @@
 #define BH_MEM_SCHEDULER_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
+#include "common/function_ref.hh"
 #include "dram/device.hh"
 #include "mem/request.hh"
 
@@ -124,15 +124,19 @@ class SchedQueue
 class FrFcfsScheduler
 {
   public:
-    /** Predicate deciding if a request's ACT may be issued (mitigation). */
-    using ActFilter = std::function<bool(const Request &)>;
+    /**
+     * Predicate deciding if a request's ACT may be issued (mitigation).
+     * The predicates are non-owning references: the caller's callable
+     * must outlive the pick call.
+     */
+    using ActFilter = FunctionRef<bool(const Request &)>;
 
     /**
      * Predicate deciding if a bank's row-hit streak has been capped:
      * capped banks stop serving further row hits (and may be closed) so
      * one streaming thread cannot capture a bank indefinitely.
      */
-    using StreakCapped = std::function<bool(unsigned bank)>;
+    using StreakCapped = FunctionRef<bool(unsigned bank)>;
 
     explicit FrFcfsScheduler(unsigned num_banks);
 
@@ -143,7 +147,7 @@ class FrFcfsScheduler
      */
     SchedQueue::Handle
     pickColumnReady(SchedQueue &queue, ReqType type, const DramDevice &dram,
-                    Cycle now, const StreakCapped &capped);
+                    Cycle now, StreakCapped capped);
 
     /**
      * Pick the oldest request that needs (and can start) row preparation:
@@ -159,7 +163,7 @@ class FrFcfsScheduler
      */
     SchedQueue::Handle
     pickRowPrep(SchedQueue &queue, const DramDevice &dram, Cycle now,
-                const ActFilter &act_allowed, const StreakCapped &capped);
+                ActFilter act_allowed, StreakCapped capped);
 
     /**
      * Earliest future cycle at which a demand command for `queue` could
@@ -173,8 +177,7 @@ class FrFcfsScheduler
      */
     Cycle nextDemandEventAt(SchedQueue &queue, ReqType type,
                             const DramDevice &dram, Cycle last_tick_at,
-                            const StreakCapped &capped,
-                            Cycle verdict_change_at);
+                            StreakCapped capped, Cycle verdict_change_at);
 
   private:
     /**

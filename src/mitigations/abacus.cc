@@ -2,45 +2,42 @@
 
 #include <algorithm>
 
-#include "common/bitutils.hh"
 #include "common/log.hh"
-#include "common/ordered.hh"
 #include "mem/controller.hh"
 
 namespace bh
 {
 
 Abacus::Abacus(const MitigationSettings &settings)
-    : cfg(settings), nextReset(settings.timings.tREFW)
+    : cfg(settings),
+      // Same trigger ladder as Graphene: neighbors refresh every T
+      // activations of a tracked row, T = half the effective budget.
+      thT(std::max<std::uint32_t>(1, settings.effectiveNRH() / 2)),
+      // The RAC tracks the maximum per-bank activation count of a row
+      // address, so one bank's window budget W bounds any RAC; the
+      // shared table needs only ceil(W / T) + 1 entries for the whole
+      // rank — ABACuS's headline saving over per-bank trackers. A new
+      // row enters at RAC 0: its first activation only sets its SAV bit.
+      table(misraGriesCapacity(settings.timings, thT), 0),
+      nextReset(settings.timings.tREFW)
 {
     if (cfg.banks > 64)
         fatal("ABACuS SAV models at most 64 banks (%u configured)",
               cfg.banks);
-    // Same trigger ladder as Graphene: neighbors refresh every T
-    // activations of a tracked row, T = half the effective budget.
-    thT = std::max<std::uint32_t>(1, cfg.effectiveNRH() / 2);
-    // The RAC tracks the maximum per-bank activation count of a row
-    // address, so one bank's window budget W bounds any RAC; the shared
-    // table needs only ceil(W / T) + 1 entries for the whole rank —
-    // ABACuS's headline saving over per-bank trackers.
-    auto w = static_cast<std::uint64_t>(
-        cfg.timings.tREFW / std::max<Cycle>(1, cfg.timings.tRC));
-    numEntries = static_cast<unsigned>(ceilDiv(
-        static_cast<std::int64_t>(w), static_cast<std::int64_t>(thT))) + 1;
 }
 
 std::uint32_t
 Abacus::rac(RowId row) const
 {
-    auto it = table.find(row);
-    return it == table.end() ? 0 : it->second.rac;
+    const auto *e = table.find(row);
+    return e ? e->count() : 0;
 }
 
 std::uint64_t
 Abacus::sav(RowId row) const
 {
-    auto it = table.find(row);
-    return it == table.end() ? 0 : it->second.sav;
+    const auto *e = table.find(row);
+    return e ? e->payload : 0;
 }
 
 void
@@ -74,53 +71,24 @@ void
 Abacus::onActivate(unsigned bank, RowId row, ThreadId, Cycle now)
 {
     std::uint64_t bit = 1ull << bank;
-    auto it = table.find(row);
-    if (it != table.end()) {
-        Entry &e = it->second;
-        if (e.sav & bit) {
+    if (auto *e = table.find(row)) {
+        if (e->payload & bit) {
             // The sibling already activated since the last RAC bump:
             // a new per-bank activation round starts at this address.
-            ++e.rac;
-            e.sav = bit;
-            if (e.rac % thT == 0)
+            e->payload = bit;
+            if (table.increment(*e) % thT == 0)
                 refreshNeighborsAllBanks(row, now);
         } else {
-            e.sav |= bit;
+            e->payload |= bit;
         }
         return;
     }
-    if (table.size() < numEntries) {
-        Entry e;
-        e.sav = bit;
-        table.emplace(row, e);
+    auto admitted = table.admit(row);
+    if (!admitted.entry)
         return;
-    }
-    // Table full: Misra-Gries spillover over the RACs. The minimum scan
-    // walks in sorted-key order (rule R2) so the tie-break is
-    // deterministic across stdlibs: among equal-RAC entries the lowest
-    // row address is displaced.
-    ++spillover;
-    RowId minRow = 0;
-    std::uint32_t minRac = 0;
-    bool haveMin = false;
-    for (RowId r : sortedMapKeys(table)) {
-        std::uint32_t c = table.find(r)->second.rac;
-        if (!haveMin || c < minRac) {
-            minRow = r;
-            minRac = c;
-            haveMin = true;
-        }
-    }
-    if (haveMin && spillover >= minRac) {
-        table.erase(minRow);
-        Entry e;
-        e.rac = spillover + 1;
-        e.sav = bit;
-        spillover = minRac;
-        table.emplace(row, e);
-        if (e.rac >= thT && e.rac % thT == 0)
-            refreshNeighborsAllBanks(row, now);
-    }
+    admitted.entry->payload = bit;
+    if (admitted.displaced && admitted.entry->count() % thT == 0)
+        refreshNeighborsAllBanks(row, now);
 }
 
 void
@@ -128,7 +96,6 @@ Abacus::tick(Cycle now)
 {
     if (now >= nextReset) {
         table.clear();
-        spillover = 0;
         nextReset += cfg.timings.tREFW;
     }
 }

@@ -14,17 +14,18 @@
  * and the SAV collapses to just {B}. Every time a RAC crosses a
  * multiple of the trigger threshold, the neighbors of R are refreshed
  * in every bank (the shared counter cannot tell which sibling is under
- * attack). Misses run the same Misra-Gries spillover discipline as
- * Graphene, and the whole table resets every refresh window.
+ * attack). The table is the same Misra-Gries table as Graphene's over
+ * the RACs, with the SAV as each entry's payload (misra_gries.hh), and
+ * it resets every refresh window.
  */
 
 #ifndef BH_MITIGATIONS_ABACUS_HH
 #define BH_MITIGATIONS_ABACUS_HH
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "mem/mitigation.hh"
+#include "mitigations/misra_gries.hh"
 #include "mitigations/settings.hh"
 
 namespace bh
@@ -47,7 +48,7 @@ class Abacus : public Mitigation
     std::uint64_t refreshesIssued() const { return numRefreshes; }
     std::uint64_t triggerEvents() const { return numTriggers; }
     std::uint32_t threshold() const { return thT; }
-    unsigned tableSize() const { return numEntries; }
+    unsigned tableSize() const { return table.capacity(); }
 
     /** RAC of a tracked row address (0 when untracked); for tests. */
     std::uint32_t rac(RowId row) const;
@@ -55,20 +56,18 @@ class Abacus : public Mitigation
     /** SAV of a tracked row address (0 when untracked); for tests. */
     std::uint64_t sav(RowId row) const;
 
-  private:
-    struct Entry
+    /** The shared table: RACs as counts, SAVs as payloads; for tests. */
+    const MisraGriesTable<std::uint64_t> &sharedTable() const
     {
-        std::uint32_t rac = 0;      ///< shared activation counter
-        std::uint64_t sav = 0;      ///< sibling activation bits, one/bank
-    };
+        return table;
+    }
 
+  private:
     void refreshNeighborsAllBanks(RowId row, Cycle now);
 
     MitigationSettings cfg;
     std::uint32_t thT = 0;          ///< RAC trigger threshold
-    unsigned numEntries = 0;        ///< shared-table entries (whole rank)
-    std::unordered_map<RowId, Entry> table;
-    std::uint32_t spillover = 0;    ///< Misra-Gries spillover counter
+    MisraGriesTable<std::uint64_t> table;   ///< whole rank; payload = SAV
     Cycle nextReset = 0;
     std::uint64_t numTriggers = 0;
     std::uint64_t numRefreshes = 0;

@@ -2,25 +2,22 @@
 
 #include <algorithm>
 
-#include "common/bitutils.hh"
-#include "common/ordered.hh"
 #include "mem/controller.hh"
 
 namespace bh
 {
 
 Dapper::Dapper(const MitigationSettings &settings)
-    : cfg(settings), tables(settings.banks),
+    : cfg(settings),
+      // Lowered trigger threshold (a quarter of the effective budget,
+      // half of Graphene's T): triggers fire earlier to absorb the
+      // worst-case deferral latency of the drain budget below.
+      thT(std::max<std::uint32_t>(1, settings.effectiveNRH() / 4)),
+      tables(settings.banks,
+             MisraGriesTable<>(misraGriesCapacity(settings.timings, thT),
+                               1)),
       nextReset(settings.timings.tREFW)
 {
-    // Lowered trigger threshold (a quarter of the effective budget,
-    // half of Graphene's T): triggers fire earlier to absorb the
-    // worst-case deferral latency of the drain budget below.
-    thT = std::max<std::uint32_t>(1, cfg.effectiveNRH() / 4);
-    auto w = static_cast<std::uint64_t>(
-        cfg.timings.tREFW / std::max<Cycle>(1, cfg.timings.tRC));
-    numEntries = static_cast<unsigned>(ceilDiv(
-        static_cast<std::int64_t>(w), static_cast<std::int64_t>(thT))) + 1;
     // Preventive-refresh budget: one small batch per tREFI, the cadence
     // the controller already reserves for refresh work. This caps the
     // mitigation bandwidth any access pattern can force.
@@ -67,49 +64,17 @@ Dapper::noteTrigger(unsigned bank, RowId row, Cycle now)
 void
 Dapper::onActivate(unsigned bank, RowId row, ThreadId, Cycle now)
 {
-    auto &table = tables[bank];
-    auto it = table.counts.find(row);
-    if (it != table.counts.end()) {
-        ++it->second;
-        if (it->second % thT == 0)
-            noteTrigger(bank, row, now);
-        return;
-    }
-    if (table.counts.size() < numEntries) {
-        table.counts.emplace(row, 1);
-        return;
-    }
-    // Misra-Gries spillover, same sorted-key min scan as Graphene
-    // (rule R2: deterministic tie-break across stdlibs).
-    ++table.spillover;
-    RowId minRow = 0;
-    std::uint32_t minCount = 0;
-    bool haveMin = false;
-    for (const auto &item : sortedItems(table.counts)) {
-        if (!haveMin || item.second < minCount) {
-            minRow = item.first;
-            minCount = item.second;
-            haveMin = true;
-        }
-    }
-    if (haveMin && table.spillover >= minCount) {
-        table.counts.erase(minRow);
-        table.counts.emplace(row, table.spillover + 1);
-        table.spillover = minCount;
-        auto &cnt = table.counts[row];
-        if (cnt >= thT && cnt % thT == 0)
-            noteTrigger(bank, row, now);
-    }
+    std::uint32_t count = tables[bank].activate(row);
+    if (count != 0 && count % thT == 0)
+        noteTrigger(bank, row, now);
 }
 
 void
 Dapper::tick(Cycle now)
 {
     if (now >= nextReset) {
-        for (auto &table : tables) {
-            table.counts.clear();
-            table.spillover = 0;
-        }
+        for (auto &table : tables)
+            table.clear();
         nextReset += cfg.timings.tREFW;
         // Owed refreshes survive the window reset: the budget defers,
         // it never forgets.

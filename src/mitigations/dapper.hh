@@ -23,10 +23,10 @@
 
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/mitigation.hh"
+#include "mitigations/misra_gries.hh"
 #include "mitigations/settings.hh"
 
 namespace bh
@@ -51,17 +51,17 @@ class Dapper : public Mitigation
     std::uint64_t deferredTriggers() const { return numDeferred; }
     std::size_t pendingTriggers() const { return pending.size(); }
     std::uint32_t threshold() const { return thT; }
-    unsigned tableSize() const { return numEntries; }
+    unsigned tableSize() const { return tables.front().capacity(); }
     Cycle drainInterval() const { return drainEvery; }
     unsigned drainBatch() const { return batch; }
 
-  private:
-    struct BankTable
+    /** One bank's tracker table; for tests. */
+    const MisraGriesTable<> &table(unsigned bank) const
     {
-        std::unordered_map<RowId, std::uint32_t> counts;
-        std::uint32_t spillover = 0;
-    };
+        return tables[bank];
+    }
 
+  private:
     /** One owed preventive refresh batch (a trigger event). */
     struct Trigger
     {
@@ -74,8 +74,7 @@ class Dapper : public Mitigation
 
     MitigationSettings cfg;
     std::uint32_t thT = 0;          ///< Misra-Gries trigger threshold
-    unsigned numEntries = 0;        ///< table entries per bank
-    std::vector<BankTable> tables;
+    std::vector<MisraGriesTable<>> tables;  ///< one per bank
     std::deque<Trigger> pending;    ///< owed refreshes, FIFO
     Cycle drainEvery = 1;           ///< budget interval (from tREFI)
     unsigned batch = 1;             ///< triggers served per interval

@@ -2,25 +2,22 @@
 
 #include <algorithm>
 
-#include "common/bitutils.hh"
-#include "common/ordered.hh"
 #include "mem/controller.hh"
 
 namespace bh
 {
 
 Graphene::Graphene(const MitigationSettings &settings)
-    : cfg(settings), tables(settings.banks),
+    : cfg(settings),
+      // T: refresh the neighbors every T activations of a tracked row;
+      // half the effective budget keeps double-sided disturbance below
+      // N_RH.
+      thT(std::max<std::uint32_t>(1, settings.effectiveNRH() / 2)),
+      tables(settings.banks,
+             MisraGriesTable<>(misraGriesCapacity(settings.timings, thT),
+                               1)),
       nextReset(settings.timings.tREFW)
 {
-    // T: refresh the neighbors every T activations of a tracked row; half
-    // the effective budget keeps double-sided disturbance below N_RH.
-    thT = std::max<std::uint32_t>(1, cfg.effectiveNRH() / 2);
-    // W: most activations one bank can absorb in a window (tRC-limited).
-    auto w = static_cast<std::uint64_t>(
-        cfg.timings.tREFW / std::max<Cycle>(1, cfg.timings.tRC));
-    numEntries = static_cast<unsigned>(ceilDiv(
-        static_cast<std::int64_t>(w), static_cast<std::int64_t>(thT))) + 1;
 }
 
 void
@@ -48,52 +45,17 @@ Graphene::refreshNeighbors(unsigned bank, RowId row, Cycle now)
 void
 Graphene::onActivate(unsigned bank, RowId row, ThreadId, Cycle now)
 {
-    auto &table = tables[bank];
-    auto it = table.counts.find(row);
-    if (it != table.counts.end()) {
-        ++it->second;
-        if (it->second % thT == 0)
-            refreshNeighbors(bank, row, now);
-        return;
-    }
-    if (table.counts.size() < numEntries) {
-        table.counts.emplace(row, 1);
-        return;
-    }
-    // Table full: Misra-Gries spillover. The minimum scan walks in
-    // sorted-key order (rule R2), making the tie-break deterministic
-    // across stdlibs: among equal-count entries the lowest row wins.
-    ++table.spillover;
-    RowId minRow = 0;
-    std::uint32_t minCount = 0;
-    bool haveMin = false;
-    for (const auto &item : sortedItems(table.counts)) {
-        if (!haveMin || item.second < minCount) {
-            minRow = item.first;
-            minCount = item.second;
-            haveMin = true;
-        }
-    }
-    if (haveMin && table.spillover >= minCount) {
-        // The new row takes over the minimum entry with count
-        // spillover + 1; the displaced count becomes the new spillover.
-        table.counts.erase(minRow);
-        table.counts.emplace(row, table.spillover + 1);
-        table.spillover = minCount;
-        auto &cnt = table.counts[row];
-        if (cnt >= thT && cnt % thT == 0)
-            refreshNeighbors(bank, row, now);
-    }
+    std::uint32_t count = tables[bank].activate(row);
+    if (count != 0 && count % thT == 0)
+        refreshNeighbors(bank, row, now);
 }
 
 void
 Graphene::tick(Cycle now)
 {
     if (now >= nextReset) {
-        for (auto &table : tables) {
-            table.counts.clear();
-            table.spillover = 0;
-        }
+        for (auto &table : tables)
+            table.clear();
         nextReset += cfg.timings.tREFW;
     }
 }

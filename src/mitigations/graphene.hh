@@ -3,23 +3,21 @@
  * Graphene (Park et al., MICRO 2020): Misra-Gries frequent-element
  * tracking of aggressor rows.
  *
- * Each bank keeps a small table of (row, count) pairs plus a spillover
- * counter. Table hits increment the row's count; misses increment the
- * spillover counter and displace the minimum entry once the spillover
- * matches it (the classic Misra-Gries summary, which guarantees any row
- * activated more than T times in a window is in the table). Every time a
- * tracked count crosses a multiple of T, the row's neighbors are
+ * Each bank keeps a Misra-Gries table of (row, count) pairs plus a
+ * spillover counter (mitigations/misra_gries.hh), which guarantees any
+ * row activated more than T times in a window is in the table. Every
+ * time a tracked count crosses a multiple of T, the row's neighbors are
  * refreshed. The table resets every window; the table size is
- * ceil(W / T) with W the maximum activations per window.
+ * ceil(W / T) + 1 with W the maximum activations per window.
  */
 
 #ifndef BH_MITIGATIONS_GRAPHENE_HH
 #define BH_MITIGATIONS_GRAPHENE_HH
 
-#include <unordered_map>
 #include <vector>
 
 #include "mem/mitigation.hh"
+#include "mitigations/misra_gries.hh"
 #include "mitigations/settings.hh"
 
 namespace bh
@@ -40,21 +38,20 @@ class Graphene : public Mitigation
 
     std::uint64_t refreshesIssued() const { return numRefreshes; }
     std::uint32_t threshold() const { return thT; }
-    unsigned tableSize() const { return numEntries; }
+    unsigned tableSize() const { return tables.front().capacity(); }
+
+    /** One bank's tracker table; for tests. */
+    const MisraGriesTable<> &table(unsigned bank) const
+    {
+        return tables[bank];
+    }
 
   private:
-    struct BankTable
-    {
-        std::unordered_map<RowId, std::uint32_t> counts;
-        std::uint32_t spillover = 0;
-    };
-
     void refreshNeighbors(unsigned bank, RowId row, Cycle now);
 
     MitigationSettings cfg;
     std::uint32_t thT = 0;      ///< Misra-Gries threshold T
-    unsigned numEntries = 0;    ///< table entries per bank
-    std::vector<BankTable> tables;
+    std::vector<MisraGriesTable<>> tables;  ///< one per bank
     Cycle nextReset = 0;
     std::uint64_t numRefreshes = 0;
 };

@@ -1,24 +1,32 @@
 /**
  * @file
  * Tests for the post-paper mitigation zoo: ABACuS shared-counter
- * semantics, DAPPER's budgeted preventive-refresh drain, the
- * BreakHammer throttler composition (including the byte-identity of
- * BreakHammer+Baseline with plain Baseline), and the thread-quota
- * admission gate's accounting (a rejected submit must never leak an
- * in-flight quota slot).
+ * semantics, DAPPER's budgeted preventive-refresh drain, the shared
+ * Misra-Gries table of Graphene, DAPPER and ABACuS (differential against
+ * the copy-and-sort minimum scan it replaced), the BreakHammer throttler
+ * composition (including the byte-identity of BreakHammer+Baseline with
+ * plain Baseline), and the thread-quota admission gate's accounting (a
+ * rejected submit must never leak an in-flight quota slot).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <unordered_map>
+#include <vector>
 
 #include "bench/bench_util.hh"
+#include "common/ordered.hh"
+#include "common/rng.hh"
 #include "mem/controller.hh"
 #include "mem/mem_system.hh"
 #include "mitigations/abacus.hh"
 #include "mitigations/breakhammer.hh"
 #include "mitigations/dapper.hh"
 #include "mitigations/factory.hh"
+#include "mitigations/graphene.hh"
+#include "mitigations/misra_gries.hh"
 #include "sim/experiment.hh"
 #include "workloads/attack_patterns.hh"
 
@@ -215,6 +223,307 @@ TEST(Dapper, IdleGridCatchUpMatchesStepByStep)
               11 * dp.drainInterval());
     dp.tick(11 * dp.drainInterval());
     EXPECT_EQ(dp.pendingTriggers(), 0u);
+}
+
+// --- Shared Misra-Gries table: differential ---------------------------
+
+/**
+ * Reference: the per-bank count table Graphene and DAPPER kept before
+ * the shared table, with its copy-and-sort minimum scan. activate()
+ * reports whether the activation triggers at threshold t.
+ */
+class ReferenceCountTable
+{
+  public:
+    explicit ReferenceCountTable(unsigned entries) : numEntries(entries) {}
+
+    bool
+    activate(RowId row, std::uint32_t t)
+    {
+        auto it = counts.find(row);
+        if (it != counts.end()) {
+            ++it->second;
+            return it->second % t == 0;
+        }
+        if (counts.size() < numEntries) {
+            counts.emplace(row, 1);
+            return false;
+        }
+        ++spillover;
+        RowId min_row = 0;
+        std::uint32_t min_count = 0;
+        bool have_min = false;
+        for (const auto &item : sortedItems(counts)) {
+            if (!have_min || item.second < min_count) {
+                min_row = item.first;
+                min_count = item.second;
+                have_min = true;
+            }
+        }
+        if (have_min && spillover >= min_count) {
+            ++displacements;
+            counts.erase(min_row);
+            counts.emplace(row, spillover + 1);
+            spillover = min_count;
+            std::uint32_t cnt = counts[row];
+            return cnt >= t && cnt % t == 0;
+        }
+        return false;
+    }
+
+    void
+    clear()
+    {
+        counts.clear();
+        spillover = 0;
+    }
+
+    std::unordered_map<RowId, std::uint32_t> counts;
+    std::uint32_t spillover = 0;
+    std::uint64_t displacements = 0;
+    unsigned numEntries;
+};
+
+/** Reference: ABACuS's rank-wide (RAC, SAV) table before the shared one. */
+class ReferenceAbacusTable
+{
+  public:
+    explicit ReferenceAbacusTable(unsigned entries) : numEntries(entries) {}
+
+    struct Entry
+    {
+        std::uint32_t rac = 0;
+        std::uint64_t sav = 0;
+    };
+
+    bool
+    activate(unsigned bank, RowId row, std::uint32_t t)
+    {
+        std::uint64_t bit = 1ull << bank;
+        auto it = table.find(row);
+        if (it != table.end()) {
+            Entry &e = it->second;
+            if (e.sav & bit) {
+                ++e.rac;
+                e.sav = bit;
+                return e.rac % t == 0;
+            }
+            e.sav |= bit;
+            return false;
+        }
+        if (table.size() < numEntries) {
+            Entry e;
+            e.sav = bit;
+            table.emplace(row, e);
+            return false;
+        }
+        ++spillover;
+        RowId min_row = 0;
+        std::uint32_t min_rac = 0;
+        bool have_min = false;
+        for (RowId r : sortedMapKeys(table)) {
+            std::uint32_t c = table.find(r)->second.rac;
+            if (!have_min || c < min_rac) {
+                min_row = r;
+                min_rac = c;
+                have_min = true;
+            }
+        }
+        if (have_min && spillover >= min_rac) {
+            ++displacements;
+            table.erase(min_row);
+            Entry e;
+            e.rac = spillover + 1;
+            e.sav = bit;
+            spillover = min_rac;
+            table.emplace(row, e);
+            return e.rac >= t && e.rac % t == 0;
+        }
+        return false;
+    }
+
+    void
+    clear()
+    {
+        table.clear();
+        spillover = 0;
+    }
+
+    std::unordered_map<RowId, Entry> table;
+    std::uint32_t spillover = 0;
+    std::uint64_t displacements = 0;
+    unsigned numEntries;
+};
+
+/** (row, count) pairs of a shared table, sorted by row. */
+template <typename Payload>
+std::vector<std::pair<RowId, std::uint32_t>>
+rowCounts(const MisraGriesTable<Payload> &table)
+{
+    std::vector<std::pair<RowId, std::uint32_t>> out;
+    for (const auto &[count, row] : table.ordered())
+        out.emplace_back(row, count);
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+/**
+ * Settings whose refresh window fits `window_acts` row cycles: tables
+ * of a handful of entries and a window reset every few hundred ACTs.
+ */
+MitigationSettings
+diffSettings(std::uint32_t n_rh, Cycle window_acts)
+{
+    MitigationSettings s = tinySettings(n_rh);
+    s.timings.tREFW = window_acts * s.timings.tRC;
+    return s;
+}
+
+/**
+ * One seeded ACT stream: a few hot rows (heavy count ties) over a cold
+ * tail three tables wide (churn past a full table), ACTs 0..39 cycles
+ * apart so the window resets every ~200 ACTs.
+ */
+struct ActStream
+{
+    ActStream(std::uint64_t seed, unsigned table_size)
+        : rng(seed), span(3 * table_size)
+    {
+    }
+
+    /** Advance time and draw the next ACT's row (bank left to caller). */
+    RowId
+    next()
+    {
+        now += static_cast<Cycle>(rng.below(40));
+        return 100 + static_cast<RowId>(rng.below(rng.chance(0.5) ? 4
+                                                                  : span));
+    }
+
+    Rng rng;
+    unsigned span;
+    Cycle now = 0;
+};
+
+/**
+ * Drive a per-bank count tracker (Graphene or DAPPER) and per-bank
+ * reference tables through the same stream, comparing after every ACT
+ * the trigger, the bank's table contents and its spillover.
+ */
+template <typename Mech, typename Triggers>
+void
+diffCountTracker(Mech &mech, Triggers triggers, const MitigationSettings &s,
+                 std::uint64_t seed)
+{
+    RecordingController rc;
+    mech.setController(&rc.ctrl);
+    std::vector<ReferenceCountTable> ref(
+        s.banks, ReferenceCountTable(mech.tableSize()));
+    ActStream stream(seed, mech.tableSize());
+    Cycle next_reset = s.timings.tREFW;
+    std::uint64_t fired = 0, resets = 0;
+    for (unsigned i = 0; i < 20000; ++i) {
+        RowId row = stream.next();
+        unsigned bank = static_cast<unsigned>(stream.rng.below(4));
+        mech.tick(stream.now);
+        if (stream.now >= next_reset) {
+            for (auto &r : ref)
+                r.clear();
+            next_reset += s.timings.tREFW;
+            ++resets;
+        }
+        std::uint64_t before = triggers(mech);
+        mech.onActivate(bank, row, 0, stream.now);
+        bool want = ref[bank].activate(row, mech.threshold());
+        fired += want;
+        ASSERT_EQ(triggers(mech) - before, want ? 1u : 0u) << "ACT " << i;
+        ASSERT_EQ(rowCounts(mech.table(bank)), sortedItems(ref[bank].counts))
+            << "ACT " << i;
+        ASSERT_EQ(mech.table(bank).spillover(), ref[bank].spillover)
+            << "ACT " << i;
+    }
+    // The stream really exercised displacement, triggers and resets.
+    std::uint64_t displaced = 0;
+    for (const auto &r : ref)
+        displaced += r.displacements;
+    EXPECT_GT(displaced, 100u);
+    EXPECT_GT(fired, 100u);
+    EXPECT_GT(resets, 10u);
+}
+
+TEST(MisraGriesDifferential, GrapheneThresholdOne)
+{
+    MitigationSettings s = diffSettings(4, 12);
+    Graphene g(s);
+    ASSERT_EQ(g.threshold(), 1u);
+    // Two victims per trigger: the rows sit far from the bank edges.
+    diffCountTracker(
+        g, [](const Graphene &m) { return m.refreshesIssued() / 2; }, s,
+        0x6e1);
+}
+
+TEST(MisraGriesDifferential, GrapheneThresholdFour)
+{
+    MitigationSettings s = diffSettings(16, 24);
+    Graphene g(s);
+    ASSERT_EQ(g.threshold(), 4u);
+    ASSERT_EQ(g.tableSize(), 7u);
+    diffCountTracker(
+        g, [](const Graphene &m) { return m.refreshesIssued() / 2; }, s,
+        0x6e4);
+}
+
+TEST(MisraGriesDifferential, Dapper)
+{
+    for (std::uint32_t n_rh : {8u, 16u}) {
+        MitigationSettings s = diffSettings(n_rh, 16);
+        Dapper dp(s);
+        diffCountTracker(
+            dp, [](const Dapper &m) { return m.triggerEvents(); }, s,
+            0xda0 + n_rh);
+    }
+}
+
+TEST(MisraGriesDifferential, AbacusMultiBankSav)
+{
+    MitigationSettings s = diffSettings(16, 24);
+    RecordingController rc;
+    Abacus ab(s);
+    ab.setController(&rc.ctrl);
+    ASSERT_EQ(ab.threshold(), 4u);
+    ReferenceAbacusTable ref(ab.tableSize());
+    ActStream stream(0xabac, ab.tableSize());
+    Cycle next_reset = s.timings.tREFW;
+    std::uint64_t fired = 0;
+    for (unsigned i = 0; i < 20000; ++i) {
+        RowId row = stream.next();
+        // Half the ACTs revisit two banks (RAC rounds), half spread over
+        // all sixteen (SAV accumulation).
+        auto bank = static_cast<unsigned>(
+            stream.rng.below(stream.rng.chance(0.5) ? 2 : s.banks));
+        ab.tick(stream.now);
+        if (stream.now >= next_reset) {
+            ref.clear();
+            next_reset += s.timings.tREFW;
+        }
+        std::uint64_t before = ab.triggerEvents();
+        ab.onActivate(bank, row, 0, stream.now);
+        bool want = ref.activate(bank, row, ab.threshold());
+        fired += want;
+        ASSERT_EQ(ab.triggerEvents() - before, want ? 1u : 0u)
+            << "ACT " << i;
+        std::vector<std::pair<RowId, std::uint32_t>> want_racs;
+        for (RowId r : sortedMapKeys(ref.table)) {
+            const auto &e = ref.table.find(r)->second;
+            want_racs.emplace_back(r, e.rac);
+            ASSERT_EQ(ab.sav(r), e.sav) << "ACT " << i << " row " << r;
+        }
+        ASSERT_EQ(rowCounts(ab.sharedTable()), want_racs) << "ACT " << i;
+        ASSERT_EQ(ab.sharedTable().spillover(), ref.spillover)
+            << "ACT " << i;
+    }
+    EXPECT_GT(ref.displacements, 100u);
+    EXPECT_GT(fired, 50u);
 }
 
 // --- BreakHammer composition -------------------------------------------
