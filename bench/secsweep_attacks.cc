@@ -5,7 +5,7 @@
  *
  * Reproduces the paper's central security claim (Sections 5 and 8.2) as
  * *data* instead of assertion: for each (attack pattern x mechanism x
- * channel count) cell the run attaches the SecurityOracle and reports
+ * channel count) cell the run turns on the sliding-window oracle and reports
  * the disturbance margin — the maximum per-row activation count inside
  * any sliding tREFW window, divided by N_RH — plus the first-violation
  * cycle and the ground-truth bit-flip count.

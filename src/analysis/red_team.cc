@@ -26,7 +26,7 @@ redTeamSearch(const RedTeamConfig &cfg)
 {
     if (!cfg.base.securityOracle)
         fatal("redTeamSearch: the base config must enable the "
-              "SecurityOracle (there is no score without it)");
+              "security oracle (there is no score without it)");
     if (cfg.base.threads != cfg.benignApps.size() + 1)
         fatal("redTeamSearch: %u threads for 1 attacker + %zu benign apps",
               cfg.base.threads, cfg.benignApps.size());

@@ -10,7 +10,7 @@
  *      uniformly from the FuzzSpace bounds.
  *   2. *Evaluate*: run each pattern through the normal experiment
  *      harness (one attacker thread + the security benign trio) with the
- *      SecurityOracle attached, scoring by the measured disturbance
+ *      sliding-window check on, scoring by the measured disturbance
  *      margin, then ground-truth bit flips, then the raw window peak.
  *   3. *Select & mutate*: keep the top `survivors`, refill the
  *      population with their mutations, and iterate for `generations`.

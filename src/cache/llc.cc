@@ -74,7 +74,6 @@ Llc::access(Addr addr, bool is_write, ThreadId thread, Cycle now,
     req.type = ReqType::kRead;      // write-allocate fetches the line
     req.thread = thread;
     req.arrival = now;
-    req.id = Request::nextId();
     req.onComplete = [this, line](Cycle done) {
         auto it = mshr.find(line);
         if (it == mshr.end())
@@ -136,7 +135,6 @@ Llc::issueWriteback(Addr line, Cycle now)
     wb.type = ReqType::kWrite;
     wb.thread = kNoThread;      // writebacks are not attributable
     wb.arrival = now;
-    wb.id = Request::nextId();
     bool ok = mem.submit(std::move(wb)) == SubmitResult::kAccepted;
     if (ok)
         ++numWritebacks;

@@ -4,7 +4,7 @@
  *
  * Every correctness claim this repo makes — byte-identical BENCH_*.json
  * for any --jobs/--shard/--channel-threads/--skip combination,
- * observation-only TraceSink and SecurityOracle hooks — is enforced
+ * observation-only TraceSink and RowHammerObserver hooks — is enforced
  * dynamically by differential tests that re-run the simulator. bh_lint
  * enforces the *source patterns* behind those claims statically, so a
  * new Mitigation or experiment that would break them fails at CI time

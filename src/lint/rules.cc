@@ -447,8 +447,7 @@ ruleTraceGate(const LexedFile &f, std::vector<Finding> &out)
 void
 ruleObserverConst(const LexedFile &f, std::vector<Finding> &out)
 {
-    if (!endsWith(f.path, "analysis/security_oracle.hh")
-        && !endsWith(f.path, "dram/hammer_observer.hh"))
+    if (!endsWith(f.path, "analysis/rowhammer_observer.hh"))
         return;
     const auto &toks = f.tokens;
     for (std::size_t i = 0; i < toks.size(); ++i) {

@@ -2,16 +2,17 @@
 
 #include <algorithm>
 
-#include "analysis/security_oracle.hh"
+#include "analysis/rowhammer_observer.hh"
 #include "common/log.hh"
 
 namespace bh
 {
 
 MemController::MemController(DramDevice &device, const ControllerConfig &config,
-                             Mitigation &mitigation, HammerObserver *hammer_obs,
+                             Mitigation &mitigation,
+                             RowHammerObserver *hammer_observer,
                              DramEnergyModel *energy_model)
-    : dram(device), cfg(config), mitig(mitigation), hammer(hammer_obs),
+    : dram(device), cfg(config), mitig(mitigation), observer(hammer_observer),
       energy(energy_model), scheduler(device.numBanks()),
       readQ(device.numBanks()), writeQ(device.numBanks()),
       victimQ(device.numBanks()),
@@ -148,10 +149,8 @@ MemController::tryRefresh(Cycle now)
     }
     if (energy)
         energy->onCommand(DramCommand::kRef, now);
-    if (hammer)
-        hammer->onAutoRefresh(range.firstRow, range.numRows);
-    if (secOracle)
-        secOracle->onAutoRefresh(range.firstRow, range.numRows);
+    if (observer)
+        observer->onAutoRefresh(range.firstRow, range.numRows);
     mitig.onAutoRefresh(range.firstRow, range.numRows, now);
     nextRefreshAt += dram.timings().tREFI;
     refreshPending = false;
@@ -191,15 +190,13 @@ MemController::tryVictimRefresh(Cycle now)
                     energy->onCommand(DramCommand::kAct, now);
                     energy->onOpenBankCount(dram.openBankCount(), now);
                 }
-                if (hammer) {
+                if (observer) {
                     // Victim refreshes restore the row's charge. Like the
                     // paper's Ramulator model (and all baseline papers) we
                     // do not feed the refresh ACT back into the disturbance
                     // model; see DESIGN.md "refresh-induced disturbance".
-                    hammer->onRowRefresh(fb, op.row);
+                    observer->onRowRefresh(fb, op.row);
                 }
-                if (secOracle)
-                    secOracle->onRowRefresh(fb, op.row);
                 op.activated = true;
                 return true;
             }
@@ -372,10 +369,8 @@ MemController::issuePrep(SchedQueue &queue, SchedQueue::Handle h, Cycle now)
         energy->onCommand(DramCommand::kAct, now);
         energy->onOpenBankCount(dram.openBankCount(), now);
     }
-    if (hammer)
-        hammer->onActivate(fb, req.coord.row, now);
-    if (secOracle)
-        secOracle->onActivate(fb, req.coord.row, now);
+    if (observer)
+        observer->onActivate(fb, req.coord.row, now);
     mitig.onActivate(fb, req.coord.row, req.thread, now);
     req.rowHitAtIssue = false;
     ++numActDemand;

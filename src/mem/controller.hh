@@ -26,7 +26,6 @@
 #include "common/trace_sink.hh"
 #include "dram/device.hh"
 #include "dram/energy.hh"
-#include "dram/hammer_observer.hh"
 #include "mem/mitigation.hh"
 #include "mem/request.hh"
 #include "mem/scheduler.hh"
@@ -34,7 +33,7 @@
 namespace bh
 {
 
-class SecurityOracle;
+class RowHammerObserver;
 
 /** Controller tuning knobs. */
 struct ControllerConfig
@@ -81,7 +80,7 @@ class MemController
 {
   public:
     MemController(DramDevice &device, const ControllerConfig &config,
-                  Mitigation &mitigation, HammerObserver *hammer,
+                  Mitigation &mitigation, RowHammerObserver *observer,
                   DramEnergyModel *energy);
 
     /** Try to accept a request; false if the target queue is full. */
@@ -193,15 +192,6 @@ class MemController
         completionSink = sink;
     }
 
-    /**
-     * Attach the end-to-end security oracle (see analysis/
-     * security_oracle.hh). Observation-only: the oracle mirrors the
-     * HammerObserver's activate/refresh notifications and can never
-     * influence scheduling, so results are identical with or without
-     * it. nullptr (the default) disables the hook.
-     */
-    void setSecurityOracle(SecurityOracle *oracle) { secOracle = oracle; }
-
     /** Publish counters into `stats` (call once after a run). */
     void syncStats();
 
@@ -236,8 +226,7 @@ class MemController
     DramDevice &dram;
     ControllerConfig cfg;
     Mitigation &mitig;
-    HammerObserver *hammer;
-    SecurityOracle *secOracle = nullptr;
+    RowHammerObserver *observer;
     DramEnergyModel *energy;
     FrFcfsScheduler scheduler;
 

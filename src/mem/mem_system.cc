@@ -30,22 +30,19 @@ MemSystem::MemSystem(const MemSystemConfig &config,
         lane.dram = std::make_unique<DramDevice>(lane_org, cfg.timings);
         if (cfg.enableEnergy)
             lane.energy = std::make_unique<DramEnergyModel>(cfg.timings);
-        if (cfg.enableHammerObserver)
-            lane.hammer = std::make_unique<HammerObserver>(lane_org,
-                                                           cfg.hammer);
-        if (cfg.enableSecurityOracle) {
-            SecurityOracleConfig oracle_cfg;
-            oracle_cfg.nRH = cfg.hammer.nRH;
-            oracle_cfg.windowCycles = cfg.timings.tREFW;
-            lane.oracle = std::make_unique<SecurityOracle>(lane_org,
-                                                           oracle_cfg);
+        if (cfg.enableHammerObserver || cfg.enableSecurityOracle) {
+            ObserverConfig obs_cfg;
+            obs_cfg.hammer = cfg.hammer;
+            obs_cfg.failureModel = cfg.enableHammerObserver;
+            obs_cfg.window = cfg.enableSecurityOracle;
+            obs_cfg.windowCycles = cfg.timings.tREFW;
+            lane.observer = std::make_unique<RowHammerObserver>(lane_org,
+                                                                obs_cfg);
         }
         lane.mitig = std::move(mitigations[ch]);
         lane.ctrl = std::make_unique<MemController>(
-            *lane.dram, cfg.ctrl, *lane.mitig, lane.hammer.get(),
+            *lane.dram, cfg.ctrl, *lane.mitig, lane.observer.get(),
             lane.energy.get());
-        if (lane.oracle)
-            lane.ctrl->setSecurityOracle(lane.oracle.get());
         // Multi-channel lanes must not touch shared core/LLC state from
         // inside a tick; completions are buffered and delivered by the
         // driver at cycle `done`. Single-channel keeps the legacy inline

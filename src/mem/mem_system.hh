@@ -2,7 +2,7 @@
  * @file
  * Multi-channel memory system: one channel lane per DRAM channel, each
  * with its own controller, DRAM device, scheduler queues, energy model,
- * RowHammer failure oracle, and mitigation-mechanism instance (the paper
+ * RowHammer observer, and mitigation-mechanism instance (the paper
  * evaluates one BlockHammer instance per channel, Table 5). The address
  * mapper steers requests to lanes by their channel bits; admission
  * (AttackThrottler quotas, queue-full gating) is checked against the
@@ -24,7 +24,7 @@
 #include <queue>
 #include <vector>
 
-#include "analysis/security_oracle.hh"
+#include "analysis/rowhammer_observer.hh"
 #include "dram/address_map.hh"
 #include "mem/controller.hh"
 
@@ -39,14 +39,15 @@ struct MemSystemConfig
     MapScheme scheme = MapScheme::kMop;
     ControllerConfig ctrl;
     HammerConfig hammer;
+    /** Run the lane observer's failure model (bit-flips). */
     bool enableHammerObserver = true;
     bool enableEnergy = true;
     /**
-     * Attach a per-channel SecurityOracle (sliding-tREFW-window per-row
-     * ACT counting; see analysis/security_oracle.hh). Observation-only
-     * and off by default: enabling it cannot change simulation results,
-     * only record the security verdict. The oracle derives its
-     * threshold/window from `hammer.nRH` and `timings.tREFW`.
+     * Run the lane observer's sliding-tREFW activation bound (the
+     * security verdict; see analysis/rowhammer_observer.hh), with
+     * threshold `hammer.nRH` and window `timings.tREFW`. Off by default.
+     * Either check is observation-only: enabling it cannot change
+     * simulation results.
      */
     bool enableSecurityOracle = false;
 };
@@ -103,13 +104,15 @@ class MemSystem
     }
     DramDevice &device(unsigned ch) { return *lanes[ch].dram; }
     Mitigation &mitigation(unsigned ch) { return *lanes[ch].mitig; }
-    HammerObserver *hammerObserver(unsigned ch)
+    /** The lane's observer if its failure model runs, else nullptr. */
+    RowHammerObserver *hammerObserver(unsigned ch)
     {
-        return lanes[ch].hammer.get();
+        return failureModelOf(lanes[ch]);
     }
-    SecurityOracle *securityOracle(unsigned ch)
+    /** The lane's observer if its activation bound runs, else nullptr. */
+    RowHammerObserver *securityOracle(unsigned ch)
     {
-        return lanes[ch].oracle.get();
+        return windowOf(lanes[ch]);
     }
     DramEnergyModel *energyModel(unsigned ch)
     {
@@ -125,8 +128,8 @@ class MemSystem
     const MemController &controller() const { return *soleLane().ctrl; }
     DramDevice &device() { return *soleLane().dram; }
     Mitigation &mitigation() { return *soleLane().mitig; }
-    HammerObserver *hammerObserver() { return soleLane().hammer.get(); }
-    SecurityOracle *securityOracle() { return soleLane().oracle.get(); }
+    RowHammerObserver *hammerObserver() { return failureModelOf(soleLane()); }
+    RowHammerObserver *securityOracle() { return windowOf(soleLane()); }
     DramEnergyModel *energyModel() { return soleLane().energy.get(); }
 
     const AddressMapper &mapper() const { return *map; }
@@ -175,8 +178,7 @@ class MemSystem
     {
         std::unique_ptr<DramDevice> dram;
         std::unique_ptr<DramEnergyModel> energy;
-        std::unique_ptr<HammerObserver> hammer;
-        std::unique_ptr<SecurityOracle> oracle;
+        std::unique_ptr<RowHammerObserver> observer;
         std::unique_ptr<Mitigation> mitig;
         std::unique_ptr<MemController> ctrl;
         std::vector<DeferredCompletion> completions;
@@ -196,6 +198,20 @@ class MemSystem
     soleLane() const
     {
         return const_cast<MemSystem *>(this)->soleLane();
+    }
+
+    static RowHammerObserver *
+    failureModelOf(const Lane &lane)
+    {
+        auto *obs = lane.observer.get();
+        return obs && obs->modelsFailures() ? obs : nullptr;
+    }
+
+    static RowHammerObserver *
+    windowOf(const Lane &lane)
+    {
+        auto *obs = lane.observer.get();
+        return obs && obs->checksWindow() ? obs : nullptr;
     }
 
     /** Delivery-heap entry: ordered by (done, channel, lane seq). */

@@ -40,15 +40,12 @@ struct Request
     /** Invoked with the completion cycle when data is returned (reads). */
     std::function<void(Cycle)> onComplete;
 
-    /** Unique id for tracing/debugging. */
+    /** Caller-assigned label (tests use it to match requests). */
     std::uint64_t id = 0;
 
     // Scheduling bookkeeping (owned by the controller).
     bool rowHitAtIssue = false;
     bool neededPrecharge = false;
-
-    /** Allocate a fresh request id. */
-    static std::uint64_t nextId();
 };
 
 } // namespace bh

@@ -55,8 +55,8 @@ struct ExperimentConfig
     SkipMode skip = SkipMode::kEventSkip;
     AttackParams attack;
     /**
-     * Attach the per-channel SecurityOracle (sliding-tREFW-window
-     * per-row ACT counts; observation-only, results unchanged) and
+     * Run the per-channel observer's sliding-tREFW-window check
+     * (per-row ACT counts; observation-only, results unchanged) and
      * collect its verdict into RunResult::sec*.
      */
     bool securityOracle = false;

@@ -20,7 +20,7 @@
  * taxonomy — evaders promise to stay below the blacklist threshold
  * N_BL, full-rate hammers are bounded only by DRAM timing shares — and
  * tests/test_attacks.cc holds every catalog pattern to its declaration
- * against the SecurityOracle's measured sliding-window counts.
+ * against the RowHammerObserver's measured sliding-window counts.
  */
 
 #ifndef BH_WORKLOADS_ATTACK_PATTERNS_HH

@@ -235,13 +235,6 @@ TEST(Config, ThrottlerMaxCoversWindowBudget)
     EXPECT_EQ(cfg.throttlerCounterMax(), cfg.nRHStar());
 }
 
-TEST(Request, IdsAreUnique)
-{
-    std::uint64_t a = Request::nextId();
-    std::uint64_t b = Request::nextId();
-    EXPECT_NE(a, b);
-}
-
 TEST(MixSpec, AttackSlotReporting)
 {
     MixSpec mix;

@@ -7,26 +7,26 @@
 #include <gtest/gtest.h>
 
 #include "dram/energy.hh"
-#include "dram/hammer_observer.hh"
+#include "analysis/rowhammer_observer.hh"
 
 namespace bh
 {
 namespace
 {
 
-HammerConfig
+ObserverConfig
 smallConfig(std::uint32_t n_rh = 100, unsigned radius = 1)
 {
-    HammerConfig cfg;
-    cfg.nRH = n_rh;
-    cfg.blastRadius = radius;
-    cfg.blastImpactBase = 0.5;
+    ObserverConfig cfg;
+    cfg.hammer.nRH = n_rh;
+    cfg.hammer.blastRadius = radius;
+    cfg.hammer.blastImpactBase = 0.5;
     return cfg;
 }
 
 TEST(HammerObserver, AdjacentDisturbanceTriggersFlipAtThreshold)
 {
-    HammerObserver obs(DramOrg::tinyConfig(), smallConfig(100));
+    RowHammerObserver obs(DramOrg::tinyConfig(), smallConfig(100));
     for (int i = 0; i < 99; ++i)
         obs.onActivate(0, 10, i);
     EXPECT_TRUE(obs.bitFlips().empty());
@@ -38,7 +38,7 @@ TEST(HammerObserver, AdjacentDisturbanceTriggersFlipAtThreshold)
 
 TEST(HammerObserver, DoubleSidedHalvesRequiredActs)
 {
-    HammerObserver obs(DramOrg::tinyConfig(), smallConfig(100));
+    RowHammerObserver obs(DramOrg::tinyConfig(), smallConfig(100));
     // Aggressors 9 and 11 around victim 10: each act adds 1 to the victim.
     for (int i = 0; i < 25; ++i) {
         obs.onActivate(0, 9, 2 * i);
@@ -57,7 +57,7 @@ TEST(HammerObserver, DoubleSidedHalvesRequiredActs)
 
 TEST(HammerObserver, RefreshResetsDisturbance)
 {
-    HammerObserver obs(DramOrg::tinyConfig(), smallConfig(100));
+    RowHammerObserver obs(DramOrg::tinyConfig(), smallConfig(100));
     for (int i = 0; i < 80; ++i)
         obs.onActivate(0, 10, i);
     obs.onRowRefresh(0, 9);
@@ -69,7 +69,7 @@ TEST(HammerObserver, RefreshResetsDisturbance)
 
 TEST(HammerObserver, BlastRadiusDecay)
 {
-    HammerObserver obs(DramOrg::tinyConfig(), smallConfig(100, 3));
+    RowHammerObserver obs(DramOrg::tinyConfig(), smallConfig(100, 3));
     // Hammer row 20: victims at distance 1 (impact 1), 2 (0.5), 3 (0.25).
     for (int i = 0; i < 100; ++i)
         obs.onActivate(0, 20, i);
@@ -93,7 +93,7 @@ TEST(HammerObserver, BlastRadiusDecay)
 
 TEST(HammerObserver, AutoRefreshSweepResetsRange)
 {
-    HammerObserver obs(DramOrg::tinyConfig(), smallConfig(100));
+    RowHammerObserver obs(DramOrg::tinyConfig(), smallConfig(100));
     for (int i = 0; i < 90; ++i)
         obs.onActivate(0, 10, i);
     obs.onAutoRefresh(8, 8);    // rows 8..15 in all banks
@@ -104,7 +104,7 @@ TEST(HammerObserver, AutoRefreshSweepResetsRange)
 
 TEST(HammerObserver, MaxRowActivationsTracksPeak)
 {
-    HammerObserver obs(DramOrg::tinyConfig(), smallConfig(1000));
+    RowHammerObserver obs(DramOrg::tinyConfig(), smallConfig(1000));
     for (int i = 0; i < 42; ++i)
         obs.onActivate(1, 5, i);
     EXPECT_EQ(obs.maxRowActivations(), 42u);
@@ -115,7 +115,7 @@ TEST(HammerObserver, MaxRowActivationsTracksPeak)
 
 TEST(HammerObserver, BanksAreIndependent)
 {
-    HammerObserver obs(DramOrg::tinyConfig(), smallConfig(100));
+    RowHammerObserver obs(DramOrg::tinyConfig(), smallConfig(100));
     for (int i = 0; i < 99; ++i) {
         obs.onActivate(0, 10, i);
         obs.onActivate(1, 10, i);
@@ -130,7 +130,7 @@ TEST(HammerObserver, BanksAreIndependent)
 TEST(HammerObserver, EdgeRowsDoNotCrash)
 {
     DramOrg org = DramOrg::tinyConfig();
-    HammerObserver obs(org, smallConfig(10, 6));
+    RowHammerObserver obs(org, smallConfig(10, 6));
     for (int i = 0; i < 100; ++i) {
         obs.onActivate(0, 0, i);
         obs.onActivate(0, org.rowsPerBank - 1, i);
@@ -140,7 +140,7 @@ TEST(HammerObserver, EdgeRowsDoNotCrash)
 
 TEST(HammerObserver, ActivationCountAggregates)
 {
-    HammerObserver obs(DramOrg::tinyConfig(), smallConfig(1000));
+    RowHammerObserver obs(DramOrg::tinyConfig(), smallConfig(1000));
     for (int i = 0; i < 7; ++i)
         obs.onActivate(0, 3, i);
     EXPECT_EQ(obs.activationCount(), 7u);

@@ -155,14 +155,15 @@ TEST(LintRules, TraceGateOkFixtureIsClean)
 
 TEST(LintRules, ObserverConstBadFixtureFlagsMutableParam)
 {
-    auto findings = lintFixture("src/dram/hammer_observer.hh");
+    auto findings = lintFixture("src/analysis/rowhammer_observer.hh");
     EXPECT_EQ(countRule(findings, "observer-const"), 1);
     EXPECT_TRUE(hasFindingAt(findings, "observer-const", 6));
 }
 
 TEST(LintRules, ObserverConstOkFixtureIsCleanViaSuppression)
 {
-    EXPECT_TRUE(lintFixture("src/analysis/security_oracle.hh").empty());
+    EXPECT_TRUE(
+        lintFixture("suppressed/src/analysis/rowhammer_observer.hh").empty());
 }
 
 TEST(LintRules, RngBadFixtureFlagsEngineIncludeAndImpureSeed)

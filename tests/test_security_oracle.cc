@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the SecurityOracle's sliding-tREFW-window counting —
+ * Unit tests for the RowHammerObserver's sliding-tREFW-window counting —
  * exact window arithmetic at the boundaries, the straddle case (a row
  * refreshed mid-window must NOT lose its sliding count), auto-refresh
  * row-index wraparound, multi-channel row aliasing — plus the
@@ -10,7 +10,7 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/security_oracle.hh"
+#include "analysis/rowhammer_observer.hh"
 #include "sim/experiment.hh"
 
 namespace bh
@@ -18,18 +18,20 @@ namespace bh
 namespace
 {
 
-SecurityOracle
+RowHammerObserver
 makeOracle(std::uint32_t n_rh = 100, Cycle window = 1000)
 {
-    SecurityOracleConfig cfg;
-    cfg.nRH = n_rh;
+    ObserverConfig cfg;
+    cfg.hammer.nRH = n_rh;
+    cfg.failureModel = false;
+    cfg.window = true;
     cfg.windowCycles = window;
-    return SecurityOracle(DramOrg::tinyConfig(), cfg);
+    return RowHammerObserver(DramOrg::tinyConfig(), cfg);
 }
 
 TEST(SecurityOracle, CountsActsInsideOneWindowExactly)
 {
-    SecurityOracle o = makeOracle(100, 1000);
+    RowHammerObserver o = makeOracle(100, 1000);
     // 100 activations, 10 cycles apart: all inside the window at the
     // 100th act (cycle 990 - cycle 0 = 990 < 1000).
     for (Cycle t = 0; t < 1000; t += 10)
@@ -45,7 +47,7 @@ TEST(SecurityOracle, CountsActsInsideOneWindowExactly)
 
 TEST(SecurityOracle, WindowBoundaryIsHalfOpen)
 {
-    SecurityOracle o = makeOracle(100, 1000);
+    RowHammerObserver o = makeOracle(100, 1000);
     o.onActivate(2, 5, 0);
     // Exactly tREFW later: the first act has just left the window.
     o.onActivate(2, 5, 1000);
@@ -59,7 +61,7 @@ TEST(SecurityOracle, WindowBoundaryIsHalfOpen)
 
 TEST(SecurityOracle, OldActivationsExpire)
 {
-    SecurityOracle o = makeOracle(100, 1000);
+    RowHammerObserver o = makeOracle(100, 1000);
     for (Cycle t = 0; t < 100; t += 10)
         o.onActivate(1, 3, t);
     EXPECT_EQ(o.currentWindowActs(1, 3, 90), 10u);
@@ -74,7 +76,7 @@ TEST(SecurityOracle, RowRefreshMidWindowKeepsTheSlidingCount)
     // after it, all inside one tREFW-length interval. Refresh-aligned
     // counters see 60 + 60; the sliding window must see 120 — that is
     // precisely why a sliding oracle is needed at tREFW boundaries.
-    SecurityOracle o = makeOracle(100, 1000);
+    RowHammerObserver o = makeOracle(100, 1000);
     for (Cycle t = 0; t < 300; t += 5)
         o.onActivate(0, 42, t);             // 60 acts in [0, 295]
     o.onRowRefresh(0, 42);
@@ -91,7 +93,7 @@ TEST(SecurityOracle, AutoRefreshWrapsAroundTheRowIndexSpace)
 {
     // tinyConfig has 256 rows per bank; a sweep starting at 250 covers
     // rows 250..255 and wraps to 0..3.
-    SecurityOracle o = makeOracle(100, 1000);
+    RowHammerObserver o = makeOracle(100, 1000);
     o.onActivate(3, 250, 10);
     o.onActivate(3, 2, 10);
     o.onActivate(3, 5, 10);
@@ -105,7 +107,7 @@ TEST(SecurityOracle, AutoRefreshWrapsAroundTheRowIndexSpace)
 
 TEST(SecurityOracle, ViolatingRowsAreCountedDistinctly)
 {
-    SecurityOracle o = makeOracle(10, 1000);
+    RowHammerObserver o = makeOracle(10, 1000);
     for (Cycle t = 0; t < 200; t += 10) {
         o.onActivate(0, 1, t);
         o.onActivate(0, 2, t + 1);
@@ -116,10 +118,11 @@ TEST(SecurityOracle, ViolatingRowsAreCountedDistinctly)
 
 TEST(SecurityOracleDeath, RejectsDegenerateConfigs)
 {
-    SecurityOracleConfig cfg;
-    cfg.nRH = 100;
+    ObserverConfig cfg;
+    cfg.hammer.nRH = 100;
+    cfg.window = true;
     cfg.windowCycles = 0;
-    EXPECT_DEATH(SecurityOracle(DramOrg::tinyConfig(), cfg), "window");
+    EXPECT_DEATH(RowHammerObserver(DramOrg::tinyConfig(), cfg), "window");
 }
 
 // ---- end-to-end: the secsweep claim in miniature ----------------------
