@@ -80,6 +80,7 @@ Llc::access(Addr addr, bool is_write, ThreadId thread, Cycle now,
             panic("LLC fill completion without MSHR entry");
         MshrEntry entry = std::move(it->second);
         mshr.erase(it);
+        ++numFills;
         Cycle ready = done + cfg.fillLatency;
         installLine(line, entry.writeIntent, ready);
         for (auto &w : entry.waiters)

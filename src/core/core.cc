@@ -24,9 +24,11 @@ Core::tick(Cycle now)
         if (instrRetired >= instrIssued)
             break;
         if (!pending.empty() && pending.front().pos == instrRetired) {
-            Cycle done = pending.front().slot->done;
+            std::uint32_t idx = pending.front().slot;
+            Cycle done = slots[idx].done;
             if (done < 0 || done > now)
                 break;
+            freeSlots.push_back(idx);
             pending.pop_front();
             ++instrRetired;
             ++r;
@@ -102,16 +104,42 @@ Core::nextEventAt() const
     // In-order retirement: only the window head matters. Its completion
     // time is known once the memory system has issued the access.
     if (!pending.empty() && pending.front().pos == instrRetired) {
-        Cycle done = pending.front().slot->done;
+        Cycle done = slots[pending.front().slot].done;
         if (done >= 0)
             best = done;
     }
     // A rejected memory issue can also unblock by time alone: the
     // MSHR-style outstanding bound drops when any in-flight op reaches
     // its completion time.
-    if (lastTickStalled && !mlp->knownDone.empty())
-        best = std::min(best, mlp->knownDone.top());
+    if (lastTickStalled && !mlp.knownDone.empty())
+        best = std::min(best, mlp.knownDone.top());
     return best;
+}
+
+std::uint32_t
+Core::allocSlot()
+{
+    if (freeSlots.empty()) {
+        slots.emplace_back();
+        return static_cast<std::uint32_t>(slots.size() - 1);
+    }
+    std::uint32_t idx = freeSlots.back();
+    freeSlots.pop_back();
+    slots[idx] = MemSlot{};
+    return idx;
+}
+
+void
+Core::onMemDone(std::uint32_t idx, Cycle done)
+{
+    MemSlot &slot = slots[idx];
+    slot.done = done;
+    if (slot.counted) {
+        slot.counted = false;
+        --mlp.unknown;
+    }
+    mlp.knownDone.push(done);
+    wakeAt = 0;     // the delivery may unblock retirement or issue
 }
 
 bool
@@ -122,21 +150,15 @@ Core::issueMemOp(Cycle now)
     // boundaries the chunked driver observes, so this stall flavor is
     // chunk-safe.
     stallDeliveryBound = true;
-    if (mlp->outstandingAt(now) >= cfg.maxOutstandingMem)
+    stallMshrBound = false;
+    if (mlp.outstandingAt(now) >= cfg.maxOutstandingMem)
         return false;
 
     // Reuse the completion slot across retries of the same rejected op.
-    if (!retrySlot)
-        retrySlot = std::make_shared<MemSlot>();
-    std::shared_ptr<MemSlot> slot = retrySlot;
-    auto on_done = [state = mlp, slot](Cycle done) {
-        slot->done = done;
-        if (slot->counted) {
-            slot->counted = false;
-            --state->unknown;
-        }
-        state->knownDone.push(done);
-    };
+    if (retrySlot == kNoSlot)
+        retrySlot = allocSlot();
+    std::uint32_t idx = retrySlot;
+    auto on_done = [this, idx](Cycle done) { onMemDone(idx, done); };
 
     // Past the MLP gate, rejections hinge on queue/quota state a channel
     // lane can change on any tick: the core must retry every cycle.
@@ -157,45 +179,39 @@ Core::issueMemOp(Cycle now)
             // Posted write: completes once accepted.
             if (mem.submit(std::move(req)) != SubmitResult::kAccepted)
                 return false;
-            slot->done = now + 1;
-            mlp->knownDone.push(slot->done);
+            slots[idx].done = now + 1;
+            mlp.knownDone.push(now + 1);
         } else {
             req.onComplete = on_done;
             if (mem.submit(std::move(req)) != SubmitResult::kAccepted)
                 return false;
         }
     } else {
+        // Stores are posted: retire once the LLC accepts them.
+        LlcResult res = pendingMem.isWrite
+            ? llc->access(pendingMem.addr, true, thread, now, nullptr)
+            : llc->access(pendingMem.addr, false, thread, now, on_done);
+        if (res == LlcResult::kReject) {
+            // MSHR file full: clears only when an LLC fill lands.
+            stallDeliveryBound = true;
+            stallMshrBound = true;
+            return false;
+        }
+        if (res == LlcResult::kRejectQueueFull)
+            return false;
         if (pendingMem.isWrite) {
-            // Stores are posted: retire once the LLC accepts them.
-            LlcResult res = llc->access(pendingMem.addr, true, thread, now,
-                                        nullptr);
-            if (res == LlcResult::kReject) {
-                stallDeliveryBound = true;
-                return false;
-            }
-            if (res == LlcResult::kRejectQueueFull)
-                return false;
-            slot->done = now + 1;
-            mlp->knownDone.push(slot->done);
-        } else {
-            LlcResult res = llc->access(pendingMem.addr, false, thread, now,
-                                        on_done);
-            if (res == LlcResult::kReject) {
-                stallDeliveryBound = true;
-                return false;
-            }
-            if (res == LlcResult::kRejectQueueFull)
-                return false;
+            slots[idx].done = now + 1;
+            mlp.knownDone.push(now + 1);
         }
     }
     // Completion still unknown (no callback fired yet): count the op as
     // outstanding until its time arrives.
-    if (slot->done < 0) {
-        slot->counted = true;
-        ++mlp->unknown;
+    if (slots[idx].done < 0) {
+        slots[idx].counted = true;
+        ++mlp.unknown;
     }
-    pending.push_back(MemOp{instrIssued, std::move(slot)});
-    retrySlot.reset();      // consumed; next op gets a fresh slot
+    pending.push_back(MemOp{instrIssued, idx});
+    retrySlot = kNoSlot;    // consumed; next op gets a fresh slot
     ++numMemOps;
     return true;
 }

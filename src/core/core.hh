@@ -12,7 +12,6 @@
 
 #include <deque>
 #include <functional>
-#include <memory>
 #include <queue>
 #include <vector>
 
@@ -44,6 +43,13 @@ class Core
      */
     Core(const CoreConfig &config, ThreadId thread, TraceSource &trace,
          Llc *llc, MemSystem &mem);
+
+    /**
+     * Completion callbacks parked in the LLC or a controller hold the
+     * core by pointer: it stays put and outlives every request it issued.
+     */
+    Core(const Core &) = delete;
+    Core &operator=(const Core &) = delete;
 
     /** Advance one cycle. */
     void tick(Cycle now);
@@ -99,16 +105,46 @@ class Core
      */
     bool quietTick() const { return lastTickQuiet; }
 
+    /**
+     * Sleep protocol of event skipping. After each executed tick,
+     * System::run calls settle(): a quiet core falls asleep until
+     * its nextEventAt(), its own completion callback, or — when the
+     * last issue attempt bounced off a full LLC MSHR file — any LLC
+     * fill (`llc_fills` is Llc::fills(), 0 without an LLC). A core whose
+     * tick could still touch the LLC's writeback retry queue never
+     * sleeps (`llc_quiet` false). While sleeping() holds, each tick is
+     * provably a no-op and System::run replays noteSkippedCycles(1)
+     * instead.
+     */
+    void
+    settle(std::uint64_t llc_fills, bool llc_quiet)
+    {
+        wakeAt = lastTickQuiet && llc_quiet ? nextEventAt() : 0;
+        fillsAtSleep = llc_fills;
+        wakeOnFill = lastTickStalled && stallMshrBound;
+    }
+
+    /** True while the core sleeps at `now` (see settle()). */
+    bool
+    sleeping(Cycle now, std::uint64_t llc_fills) const
+    {
+        return now < wakeAt && !(wakeOnFill && llc_fills != fillsAtSleep);
+    }
+
     /** True if the trace ended and all work drained. */
     bool done() const { return traceEnded && pending.empty(); }
 
     ThreadId threadId() const { return thread; }
 
   private:
+    static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+
     /**
-     * Completion state of one memory instruction, shared with the
-     * completion callback registered at the LLC / memory system.
-     * `counted` marks ops currently included in `outstandingUnknown`.
+     * Completion state of one memory instruction, written by the
+     * completion callback registered at the LLC / memory system. Slots
+     * live in a pool indexed by uint32, so a callback captures only
+     * `[this, idx]` and std::function stores it without allocating.
+     * `counted` marks ops currently included in `mlp.unknown`.
      */
     struct MemSlot
     {
@@ -120,16 +156,14 @@ class Core
     struct MemOp
     {
         std::uint64_t pos = 0;          ///< instruction index in the window
-        std::shared_ptr<MemSlot> slot;
+        std::uint32_t slot = kNoSlot;   ///< index into `slots`
     };
 
     /**
      * O(1) memory-level-parallelism accounting (replaces scanning
      * `pending` on every issue attempt): ops with unknown completion
      * times are counted directly; known times sit in a min-heap and
-     * drop out as simulated time passes them. Owned via shared_ptr so
-     * completion callbacks parked in the LLC or controller can never
-     * dangle, even if the Core is replaced with ops in flight.
+     * drop out as simulated time passes them.
      */
     struct MlpState
     {
@@ -146,6 +180,12 @@ class Core
             return unknown + static_cast<unsigned>(knownDone.size());
         }
     };
+
+    /** Take a fresh slot from the pool. */
+    std::uint32_t allocSlot();
+
+    /** Completion callback body: the op in `idx` finishes at `done`. */
+    void onMemDone(std::uint32_t idx, Cycle done);
 
     bool issueMemOp(Cycle now);
 
@@ -168,11 +208,19 @@ class Core
     bool lastTickQuiet = false;
     bool stallDeliveryBound = false;    ///< last rejection clears only at
                                         ///< a known time or a delivery
-    std::shared_ptr<MemSlot> retrySlot;     ///< completion slot, reused
-                                            ///< across rejected attempts
+    bool stallMshrBound = false;        ///< last rejection was LLC kReject
+    std::uint32_t retrySlot = kNoSlot;  ///< completion slot, reused across
+                                        ///< rejected attempts
+
+    // Sleep state (see settle()); wakeAt 0 means awake.
+    Cycle wakeAt = 0;
+    std::uint64_t fillsAtSleep = 0;
+    bool wakeOnFill = false;
 
     std::deque<MemOp> pending;
-    std::shared_ptr<MlpState> mlp = std::make_shared<MlpState>();
+    std::vector<MemSlot> slots;
+    std::vector<std::uint32_t> freeSlots;
+    MlpState mlp;
 };
 
 } // namespace bh

@@ -1,6 +1,7 @@
 #include "mem/mem_system.hh"
 
 #include <algorithm>
+#include <functional>
 
 #include "common/log.hh"
 
@@ -214,10 +215,10 @@ MemSystem::flushCompletions()
 {
     for (unsigned ch = 0; ch < lanes.size(); ++ch) {
         for (auto &dc : lanes[ch].completions) {
-            pendingDeliveries.push(PendingDelivery{
-                dc.done, ch, dc.seq,
-                std::make_shared<std::function<void(Cycle)>>(
-                    std::move(dc.fn))});
+            pendingDeliveries.push_back(
+                PendingDelivery{dc.done, ch, dc.seq, std::move(dc.fn)});
+            std::push_heap(pendingDeliveries.begin(),
+                           pendingDeliveries.end(), std::greater<>());
         }
         lanes[ch].completions.clear();
     }
@@ -227,13 +228,15 @@ void
 MemSystem::deliverCompletionsDue(Cycle now)
 {
     while (!pendingDeliveries.empty() &&
-           pendingDeliveries.top().done <= now) {
-        PendingDelivery d = pendingDeliveries.top();
-        pendingDeliveries.pop();
+           pendingDeliveries.front().done <= now) {
+        std::pop_heap(pendingDeliveries.begin(), pendingDeliveries.end(),
+                      std::greater<>());
+        PendingDelivery d = std::move(pendingDeliveries.back());
+        pendingDeliveries.pop_back();
         // The callback may submit new requests (LLC writebacks); lanes
         // only observe them at their next tick, regardless of execution
         // strategy, so delivery order fully determines the outcome.
-        (*d.fn)(d.done);
+        d.fn(d.done);
     }
 }
 
@@ -241,7 +244,7 @@ Cycle
 MemSystem::nextCompletionAt() const
 {
     return pendingDeliveries.empty() ? kNoEventCycle
-                                     : pendingDeliveries.top().done;
+                                     : pendingDeliveries.front().done;
 }
 
 Cycle

@@ -20,8 +20,8 @@
 #ifndef BH_MEM_MEM_SYSTEM_HH
 #define BH_MEM_MEM_SYSTEM_HH
 
+#include <functional>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "analysis/rowhammer_observer.hh"
@@ -214,13 +214,17 @@ class MemSystem
         return obs && obs->checksWindow() ? obs : nullptr;
     }
 
-    /** Delivery-heap entry: ordered by (done, channel, lane seq). */
+    /**
+     * Delivery-heap entry: ordered by (done, channel, lane seq). The
+     * callback is held by value; the heap is a plain vector so delivery
+     * can move it out of the popped back slot.
+     */
     struct PendingDelivery
     {
         Cycle done = 0;
         unsigned channel = 0;
         std::uint64_t seq = 0;
-        std::shared_ptr<std::function<void(Cycle)>> fn;
+        std::function<void(Cycle)> fn;
 
         bool
         operator>(const PendingDelivery &o) const
@@ -236,8 +240,7 @@ class MemSystem
     MemSystemConfig cfg;
     std::unique_ptr<AddressMapper> map;
     std::vector<Lane> lanes;
-    std::priority_queue<PendingDelivery, std::vector<PendingDelivery>,
-                        std::greater<PendingDelivery>> pendingDeliveries;
+    std::vector<PendingDelivery> pendingDeliveries;   ///< min-heap
     std::uint64_t numQuotaRejects = 0;
 };
 

@@ -177,6 +177,10 @@ FrFcfsScheduler::pickRowPrep(SchedQueue &queue, const DramDevice &dram,
 {
     if (queue.empty())
         return SchedQueue::kNone;
+    if (noPrepCandidate(queue, dram, now, capped)) {
+        replaySafetyQueries(queue, act_allowed);
+        return SchedQueue::kNone;
+    }
     ++prepGen;
 
     // Only the oldest request per bank may prepare that bank this cycle;
@@ -209,6 +213,62 @@ FrFcfsScheduler::pickRowPrep(SchedQueue &queue, const DramDevice &dram,
         }
     }
     return SchedQueue::kNone;
+}
+
+bool
+FrFcfsScheduler::noPrepCandidate(SchedQueue &queue, const DramDevice &dram,
+                                 Cycle now, StreakCapped capped)
+{
+    // The walk can only return a request of a bank that fails this
+    // check; a closed bank with a legal ACT counts even though all its
+    // requests may turn out unsafe (only the walk can tell).
+    cursors.clear();
+    for (unsigned fb : queue.activeBanks()) {
+        const Bank &bank = dram.bank(fb);
+        if (bank.isOpen()) {
+            const auto &hits = queue.hitStats(fb, bank);
+            if (queue.bankCount(fb) == hits.hitCount)
+                continue;   // no conflicting request to precharge for
+            if (hits.hitCount > 0 && !(capped && capped(fb)))
+                continue;   // row reuse pending; don't close
+            if (dram.canIssue(DramCommand::kPre, fb, now))
+                return false;
+        } else {
+            if (dram.canIssue(DramCommand::kAct, fb, now))
+                return false;
+            SchedQueue::Handle h = queue.bankOldest(fb);
+            cursors.push_back(Cursor{queue.seqOf(h), h});
+        }
+    }
+    return true;
+}
+
+void
+FrFcfsScheduler::replaySafetyQueries(SchedQueue &queue,
+                                     ActFilter act_allowed)
+{
+    // With no bank able to PRE or ACT, the walk's only side effects are
+    // its safety queries: per closed bank, every request up to and
+    // including the first safe one (the bank is then marked), in global
+    // age order. Merging the closed banks' age lists by sequence number
+    // makes exactly those queries in exactly that order. `cursors` holds
+    // each closed bank's next request, sorted by age from index i on.
+    auto older = [](const Cursor &a, const Cursor &b) { return a.seq < b.seq; };
+    std::sort(cursors.begin(), cursors.end(), older);
+    for (std::size_t i = 0; i < cursors.size();) {
+        SchedQueue::Handle h = cursors[i].handle;
+        SchedQueue::Handle next = queue.bankNext(h);
+        if (act_allowed(queue.at(h)) || next == SchedQueue::kNone) {
+            ++i;    // bank done: first safe request, or list exhausted
+            continue;
+        }
+        // Advance this bank and sift it back into age order.
+        Cursor c{queue.seqOf(next), next};
+        std::size_t j = i;
+        for (; j + 1 < cursors.size() && cursors[j + 1].seq < c.seq; ++j)
+            cursors[j] = cursors[j + 1];
+        cursors[j] = c;
+    }
 }
 
 Cycle

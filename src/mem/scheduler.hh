@@ -10,6 +10,9 @@
  * O(queue); row-prep picks walk the global age list but return at the first
  * eligible request, preserving the exact pick — and the exact order of
  * mitigation safety queries — of the original full-walk implementation.
+ * When no bank can PRE or ACT at all (the common case), an O(active
+ * banks) check proves the walk would pick nothing, and only its safety
+ * queries are replayed from the per-bank lists merged by age.
  *
  * All per-bank state is sized from the device, so arbitrarily large
  * organizations (multi-rank DDR4 with > 64 flat banks) work; the old
@@ -180,6 +183,30 @@ class FrFcfsScheduler
                             StreakCapped capped, Cycle verdict_change_at);
 
   private:
+    /** A closed bank's next request in a safety-query replay. */
+    struct Cursor
+    {
+        std::uint64_t seq = 0;
+        SchedQueue::Handle handle = SchedQueue::kNone;
+    };
+
+    /**
+     * True when no bank's prep command can be picked at `now`, so the
+     * walk would return kNone. A bank could be picked when it is open
+     * with a conflicting request, no live row hit (or a capped streak)
+     * and a legal PRE, or closed with a legal ACT. O(active banks) and
+     * pure; on true, `cursors` holds every closed bank's oldest request.
+     */
+    bool noPrepCandidate(SchedQueue &queue, const DramDevice &dram,
+                         Cycle now, StreakCapped capped);
+
+    /**
+     * Make the safety queries of a walk that returns kNone, in the same
+     * order, without walking the global queue. Only valid right after
+     * noPrepCandidate() returned true.
+     */
+    void replaySafetyQueries(SchedQueue &queue, ActFilter act_allowed);
+
     /**
      * Generation-stamped per-bank "already considered for prep" marks.
      * 64-bit so the generation can never wrap into a stale mark over
@@ -187,6 +214,7 @@ class FrFcfsScheduler
      */
     std::vector<std::uint64_t> prepMark;
     std::uint64_t prepGen = 0;
+    std::vector<Cursor> cursors;    ///< replaySafetyQueries scratch
 };
 
 } // namespace bh

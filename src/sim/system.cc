@@ -98,6 +98,10 @@ System::setTrace(unsigned slot, std::unique_ptr<TraceSource> trace,
 {
     if (slot >= cfg.threads)
         fatal("trace slot %u out of range", slot);
+    // Requests in flight hold their core by pointer; replacing a core
+    // once the system runs would leave their callbacks dangling.
+    if (started)
+        fatal("System::setTrace: slot %u set after run() started", slot);
     traces[slot] = std::move(trace);
     cores[slot] = std::make_unique<Core>(
         core_cfg, static_cast<ThreadId>(slot), *traces[slot],
@@ -237,6 +241,7 @@ System::run(Cycle cycles)
     for (unsigned t = 0; t < cfg.threads; ++t)
         if (!cores[t])
             fatal("core slot %u has no trace installed", t);
+    started = true;
 
     // Perf telemetry: all of [currentCycle, end) is simulated time, no
     // matter how it is covered (executed, chunked, or skipped).
@@ -259,8 +264,33 @@ System::run(Cycle cycles)
         // Rotate the tick order so no core gets a systematic head start
         // when racing for shared queue slots.
         unsigned first = static_cast<unsigned>(currentCycle) % n;
-        for (unsigned i = 0; i < n; ++i)
-            cores[(first + i) % n]->tick(currentCycle);
+        for (unsigned i = 0; i < n; ++i) {
+            Core &core = *cores[(first + i) % n];
+            if (!track) {
+                core.tick(currentCycle);
+                continue;
+            }
+            // Sleeping cores (see Core::settle) are checked at their slot
+            // in the rotation, so a wake-up delivered earlier this cycle
+            // runs the core exactly where a cycle-by-cycle run would.
+            if (core.sleeping(currentCycle, llcFills())) {
+                if (cfg.skip != SkipMode::kVerify) {
+                    core.noteSkippedCycles(1);
+                    continue;
+                }
+                // Verify: tick anyway and check the sleep claim.
+                std::uint64_t stamp = core.progressStamp();
+                core.tick(currentCycle);
+                if (core.progressStamp() != stamp || !core.quietTick())
+                    panic("event-skip verify: core %d progressed at cycle "
+                          "%lld while claimed asleep",
+                          static_cast<int>(core.threadId()),
+                          static_cast<long long>(currentCycle));
+            } else {
+                core.tick(currentCycle);
+            }
+            core.settle(llcFills(), !llcPtr || llcPtr->quiet());
+        }
         if (llcPtr)
             llcPtr->tick(currentCycle);
         if (currentCycle % divider == 0)

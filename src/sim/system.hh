@@ -91,7 +91,7 @@ class System
     /** Single-channel convenience constructor (mem.org.channels == 1). */
     System(const SystemConfig &config, std::unique_ptr<Mitigation> mitigation);
 
-    /** Install the trace for one core slot (must precede run()). */
+    /** Install the trace for one core slot (fatal once run() started). */
     void setTrace(unsigned slot, std::unique_ptr<TraceSource> trace);
 
     /**
@@ -154,6 +154,9 @@ class System
     /** Tick all lanes over [currentCycle, target) and jump there. */
     void runLaneChunk(Cycle target);
 
+    /** LLC fills so far (the MSHR-bound cores' wake-up source). */
+    std::uint64_t llcFills() const { return llcPtr ? llcPtr->fills() : 0; }
+
     SystemConfig cfg;
     std::unique_ptr<MemSystem> memSys;
     std::unique_ptr<Llc> llcPtr;
@@ -167,6 +170,7 @@ class System
     std::uint64_t numSkipped = 0;
     std::uint64_t numChunked = 0;
     Cycle verifiedQuietUntil = 0;   ///< kVerify: active skip claim bound
+    bool started = false;           ///< run() was called: cores are fixed
     TraceMeta driverMeta;           ///< tid = channel count (driver row)
 };
 

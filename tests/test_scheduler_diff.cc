@@ -5,7 +5,10 @@
  * original full-queue-walk implementation — same picked request, and the
  * same sequence of mitigation safety queries (whose side effects, like
  * BlockHammer's delay accounting, are part of the simulation contract) —
- * across randomly generated DRAM states and request queues.
+ * across randomly generated DRAM states and request queues. One case
+ * blocks every bank's PRE/ACT and makes most verdicts unsafe, so nearly
+ * every row-prep pick takes the scheduler's no-candidate path, whose
+ * safety queries must still come in global age order.
  */
 
 #include <gtest/gtest.h>
@@ -150,8 +153,41 @@ randomQueue(const DramDevice &dram, Rng &rng, ReqType type)
     return q;
 }
 
+/**
+ * Issue PRE/ACT at `now` until no bank can PRE or ACT: every open bank
+ * sits inside tRAS (or was already PRE-blocked), every closed bank
+ * inside tRP or a rank-level ACT window.
+ */
 void
-runDifferential(unsigned nbanks, std::uint64_t seed)
+blockAllPrep(DramDevice &dram, Rng &rng, Cycle now)
+{
+    for (bool issued = true; issued;) {
+        issued = false;
+        for (unsigned fb = 0; fb < dram.numBanks(); ++fb) {
+            if (dram.bank(fb).isOpen()) {
+                if (dram.canIssue(DramCommand::kPre, fb, now)) {
+                    dram.issue(DramCommand::kPre, fb, 0, now);
+                    issued = true;
+                }
+            } else if (dram.canIssue(DramCommand::kAct, fb, now)) {
+                dram.issue(DramCommand::kAct, fb,
+                           static_cast<RowId>(rng.below(128)), now);
+                issued = true;
+            }
+        }
+    }
+}
+
+/** Knobs of one differential run (defaults: the original sweep). */
+struct DiffScenario
+{
+    bool blockAllBanks = false;     ///< see blockAllPrep()
+    unsigned safeOneIn = 0;         ///< 0: 2 of 3 verdicts safe
+    unsigned *noPrepPicks = nullptr;    ///< out: non-empty, nothing picked
+};
+
+void
+runDifferential(unsigned nbanks, std::uint64_t seed, DiffScenario sc = {})
 {
     DramOrg org;
     org.bankGroups = 4;
@@ -165,6 +201,8 @@ runDifferential(unsigned nbanks, std::uint64_t seed)
 
     for (unsigned iter = 0; iter < 400; ++iter) {
         randomizeDevice(dram, rng, now, 12);
+        if (sc.blockAllBanks)
+            blockAllPrep(dram, rng, now);
 
         ReqType type = rng.chance(0.5) ? ReqType::kRead : ReqType::kWrite;
         std::deque<Request> ref_q = randomQueue(dram, rng, type);
@@ -184,6 +222,8 @@ runDifferential(unsigned nbanks, std::uint64_t seed)
         auto verdict = [&](unsigned bank, RowId row) {
             std::uint64_t h =
                 (static_cast<std::uint64_t>(bank) << 32 | row) * 0x9e3779b9;
+            if (sc.safeOneIn > 0)
+                return ((h ^ act_salt) % sc.safeOneIn) == 0;
             return ((h ^ act_salt) % 3) != 0;
         };
 
@@ -222,6 +262,8 @@ runDifferential(unsigned nbanks, std::uint64_t seed)
             EXPECT_EQ(new_prep, SchedQueue::kNone) << "iter " << iter;
         }
         EXPECT_EQ(ref_log, new_log) << "iter " << iter;
+        if (sc.noPrepPicks && !ref_q.empty() && !ref_prep)
+            ++*sc.noPrepPicks;
 
         // When nothing picks, the scheduler's event bound must hold: no
         // pick may become possible before it (under frozen verdicts).
@@ -259,6 +301,20 @@ TEST(SchedulerDifferential, SecondSeedSweep)
 {
     runDifferential(16, 0xfeed);
     runDifferential(32, 0xbeef);
+}
+
+TEST(SchedulerDifferential, EveryBankTimingBlockedMostlyUnsafe)
+{
+    // Nothing can PRE or ACT and four in five verdicts are unsafe: the
+    // row-prep picks answer "no candidate" without walking the queue and
+    // replay the walk's safety queries (each closed bank's requests up
+    // to its first safe one) merged across banks by age.
+    for (auto [nbanks, seed] :
+         {std::pair{16u, 0x5a1eull}, std::pair{64u, 0xb1adull}}) {
+        unsigned no_pick = 0;
+        runDifferential(nbanks, seed, DiffScenario{true, 5, &no_pick});
+        EXPECT_GT(no_pick, 300u) << nbanks << " banks";
+    }
 }
 
 } // namespace
